@@ -24,7 +24,13 @@ Layout and guarantees:
   ``os.replace``d into place; readers never observe a partial entry.
 * **Size-capped LRU eviction** — reads bump an entry's mtime; writes
   that push the store past ``max_bytes`` evict oldest-mtime entries
-  first.
+  first.  A put does not rescan the store: it keeps a running byte
+  tally (seeded by one scan at the first put, plus each new entry's
+  size, minus the file it overwrote) and runs the eviction scan only
+  when the tally crosses ``max_bytes`` or has grown by
+  ``max_bytes / 16`` since the last scan.  Every scan re-reads the
+  disk, so entries other processes wrote into the same root are
+  counted within that bounded drift.
 * **In-process memo tier** — a small ``OrderedDict`` LRU in front of the
   disk tier makes repeated probes within one process (tight sweep
   loops) free.
@@ -62,6 +68,10 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
 #: Default in-process memo capacity (entries, not bytes).
 DEFAULT_MEMO_ENTRIES = 256
+
+#: A put rescans the disk once its tally has grown by ``max_bytes``
+#: divided by this since the last scan (the cross-process drift bound).
+_RESCAN_FRACTION = 16
 
 _HEADER_PREFIX = b"repro-cache:1:"
 
@@ -126,6 +136,10 @@ class ShardStore:
         self.misses = 0
         self.stored = 0
         self.evictions = 0
+        # Bytes on disk as of the last scan plus this process's puts
+        # since; None until the first put seeds it.
+        self._tally: int | None = None
+        self._scanned_tally = 0
 
     # ------------------------------------------------------------------
     # The get/put surface the engine uses
@@ -174,11 +188,23 @@ class ShardStore:
         header = _HEADER_PREFIX + f"{key}:{digest}".encode("ascii") + b"\n"
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            overwritten = path.stat().st_size
+        except OSError:
+            overwritten = 0
         scratch = path.with_name(path.name + f".tmp{os.getpid()}")
         scratch.write_bytes(header + payload)
         os.replace(scratch, path)
         self._memoise(key, value)
         self.stored += 1
+        if self.max_bytes is None:
+            return 0
+        if self._tally is not None:
+            self._tally += len(header) + len(payload) - overwritten
+            if (self._tally <= self.max_bytes
+                    and self._tally - self._scanned_tally
+                    < self.max_bytes // _RESCAN_FRACTION):
+                return 0
         evicted = self._evict(keep=key)
         self.evictions += evicted
         return evicted
@@ -197,9 +223,8 @@ class ShardStore:
         return sorted(self.root.glob("??/*.pkl"))
 
     def _evict(self, keep: str | None = None) -> int:
-        """Drop oldest-mtime entries until the store fits ``max_bytes``."""
-        if self.max_bytes is None:
-            return 0
+        """Scan the disk, re-seed the tally, and drop oldest-mtime entries
+        until the store fits ``max_bytes``."""
         entries = []
         total = 0
         for path in self._iter_entries():
@@ -222,6 +247,7 @@ class ShardStore:
             self._memo.pop(path.stem, None)
             total -= size
             evicted += 1
+        self._tally = self._scanned_tally = total
         return evicted
 
     # ------------------------------------------------------------------
@@ -238,6 +264,7 @@ class ShardStore:
             except OSError:  # pragma: no cover - racing cleanup
                 pass
         self._memo.clear()
+        self._tally = None
         return removed
 
     def verify(self) -> tuple[int, list[Path]]:

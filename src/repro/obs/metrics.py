@@ -77,6 +77,8 @@ METRICS_CATALOGUE: dict[str, tuple[str, str, str]] = {
     "service.jobs_resumed": ("counter", "jobs", "unfinished jobs re-enqueued after a server restart"),
     "service.jobs_rejected": ("counter", "jobs", "submissions refused by the max-queued-jobs rate control"),
     "service.queue_depth": ("gauge", "jobs", "jobs queued and not yet running (current)"),
+    "service.queue_wait_seconds": ("histogram", "seconds", "per job: time from submission to its start (started_at - created_at)"),
+    "service.job_seconds": ("histogram", "seconds", "per finished job: time from its start to done or failed (finished_at - started_at)"),
 }
 
 

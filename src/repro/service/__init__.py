@@ -17,8 +17,8 @@ the front half:
   (name + typed param schema + runner) and :func:`job_key`, the dedup
   identity derived from the same knobs that enter the v2 ``plan_key``.
 * :mod:`repro.service.jobs` — the :class:`Job` record, its lifecycle
-  states, and the persistent :class:`JobRegistry` (atomic JSON
-  snapshots; unfinished jobs resume on restart).
+  states, and the persistent :class:`JobRegistry` (an append-only
+  ``jobs.jsonl`` journal; unfinished jobs resume on restart).
 * :mod:`repro.service.queue` — the priority job queue: a shared worker
   pool draining jobs highest-priority-first, with a max-queued-jobs
   rate control (:class:`QueueFull`).

@@ -90,6 +90,11 @@ class JobQueue:
             heapq.heappush(self._heap, (-priority, self._seq, job_id))
             self._wake.notify()
 
+    @property
+    def max_queued(self) -> int:
+        """The cap on waiting jobs (``QueueFull`` past it)."""
+        return self._max_queued
+
     def is_full(self) -> bool:
         with self._lock:
             return len(self._heap) >= self._max_queued

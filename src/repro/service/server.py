@@ -10,10 +10,17 @@ in-process, and the HTTP layer only translates: JSON in,
 The state directory layout (everything the service persists)::
 
     <state-dir>/
-      jobs.json            the job registry snapshot (atomic replace)
+      jobs.jsonl           the job registry journal (append-only, one
+                           record per state change, compacted atomically)
       journals/<job>.jsonl per-job shard checkpoint journals
       manifests/<job>.json per-job validated run manifests
       cache/               the shared content-addressed shard cache
+
+Each state transition appends the one job it changed to ``jobs.jsonl``,
+so persisting costs the same at the thousandth job as at the first.  A
+state directory from an earlier release (a ``jobs.json`` snapshot and no
+journal) is migrated once on start: the snapshot is compacted into
+``jobs.jsonl`` and removed, and its unfinished jobs resume as usual.
 
 The shared ``cache/`` is what makes cross-request dedup cheap even when
 it misses: a ``dedup=false`` resubmission of a finished job creates a
@@ -37,7 +44,7 @@ from urllib.parse import urlsplit
 from ..obs import MetricsRegistry, load_manifest, summarise_result
 from ..runconfig import RunConfig
 from .estimators import ESTIMATORS, job_key, run_estimator, validate_params
-from .jobs import JobRegistry
+from .jobs import Job, JobRegistry
 from .queue import DEFAULT_MAX_QUEUED, JobQueue
 from .schemas import SCHEMA_VERSION, MANAGED_KNOBS, ServiceError, parse_submit
 
@@ -58,6 +65,10 @@ ROUTES: tuple[tuple[str, str, str], ...] = (
     ("POST", "/v1/shutdown", "graceful shutdown: drain, demote, persist"),
 )
 
+#: The registry journal and the pre-journal snapshot it replaced.
+_JOBS_JOURNAL = "jobs.jsonl"
+_LEGACY_SNAPSHOT = "jobs.json"
+
 _DRAIN_SECONDS = 30.0
 
 
@@ -66,10 +77,11 @@ class EstimationService:
 
     All registry/metrics mutations happen under one re-entrant lock;
     job *execution* (the expensive part) runs outside it on the queue's
-    worker threads.  Construction loads the registry snapshot from the
-    state directory and re-enqueues every unfinished job before the
-    worker pool starts, which is the whole resume-on-restart contract —
-    the per-job shard journals do the actual work of not recomputing.
+    worker threads.  Construction loads the registry journal from the
+    state directory (migrating a legacy ``jobs.json`` snapshot first)
+    and re-enqueues every unfinished job before the worker pool starts,
+    which is the whole resume-on-restart contract — the per-job shard
+    journals do the actual work of not recomputing.
     """
 
     def __init__(self, state_dir: str | Path, *,
@@ -90,7 +102,13 @@ class EstimationService:
         self.metrics = MetricsRegistry()
         self._lock = threading.RLock()
         self._closed = False
-        self.registry = JobRegistry.load(self.state_dir / "jobs.json")
+        journal = self.state_dir / _JOBS_JOURNAL
+        legacy = self.state_dir / _LEGACY_SNAPSHOT
+        if not journal.exists() and legacy.exists():
+            self.registry = JobRegistry.from_snapshot(legacy, journal)
+            legacy.unlink()
+        else:
+            self.registry = JobRegistry.load(journal)
         self.queue = JobQueue(self._execute, workers=job_workers,
                               max_queued=max_queued)
         resumed = self.registry.unfinished()
@@ -101,7 +119,7 @@ class EstimationService:
         if resumed:
             self.metrics.counter("service.jobs_resumed", "jobs").inc(
                 len(resumed))
-            self.registry.save()
+            self.registry.save(*resumed)
         self._update_depth()
         if start:
             self.queue.start()
@@ -135,13 +153,13 @@ class EstimationService:
                 if target is not None:
                     target.dedup_hits += 1
                     self.metrics.counter("service.jobs_deduped", "jobs").inc()
-                    self.registry.save()
+                    self.registry.save(target)
                     return {"job": target.to_wire(), "deduped": True}, 200
             if self.queue.is_full():
                 self.metrics.counter("service.jobs_rejected", "jobs").inc()
                 raise ServiceError(
                     429, "queue-full",
-                    f"job queue is full ({self.queue._max_queued} queued); "
+                    f"job queue is full ({self.queue.max_queued} queued); "
                     "retry later")
             job = self.registry.create(
                 key=key, estimator=request.estimator, params=params,
@@ -149,7 +167,7 @@ class EstimationService:
             self.queue.submit(job.id, request.priority)
             self.metrics.counter("service.jobs_submitted", "jobs").inc()
             self._update_depth()
-            self.registry.save()
+            self.registry.save(job)
             return {"job": job.to_wire(), "deduped": False}, 201
 
     # -- execution (worker threads) ------------------------------------
@@ -194,8 +212,11 @@ class EstimationService:
             if job is None or job.state != "queued":
                 return
             job.mark_running()
+            waited = job.started_at - job.created_at
+            self.metrics.histogram("service.queue_wait_seconds",
+                                   "seconds").observe(waited)
             self._update_depth()
-            self.registry.save()
+            self.registry.save(job)
         try:
             config = RunConfig.from_json_dict(job.config_wire)
             result = run_estimator(job.estimator, job.params,
@@ -204,12 +225,18 @@ class EstimationService:
             with self._lock:
                 job.mark_done(summary if summary is not None else {})
                 self.metrics.counter("service.jobs_completed", "jobs").inc()
-                self.registry.save()
+                self._finished(job)
         except Exception as error:  # noqa: BLE001 - job isolation boundary
             with self._lock:
                 job.mark_failed(f"{type(error).__name__}: {error}")
                 self.metrics.counter("service.jobs_failed", "jobs").inc()
-                self.registry.save()
+                self._finished(job)
+
+    def _finished(self, job: Job) -> None:
+        """Record a finished job's run time and persist it (under the lock)."""
+        ran = job.finished_at - job.started_at
+        self.metrics.histogram("service.job_seconds", "seconds").observe(ran)
+        self.registry.save(job)
 
     # -- queries -------------------------------------------------------
 

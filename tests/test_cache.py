@@ -138,6 +138,61 @@ class TestShardStore:
         assert store.get(keys[0]) == payload       # recency saved it
         assert store.evictions == evicted
 
+    @staticmethod
+    def _disk_bytes(root):
+        return sum(path.stat().st_size for path in root.glob("??/*.pkl"))
+
+    def test_store_never_exceeds_cap_by_more_than_the_last_entry(self, tmp_path):
+        cap = 4_000
+        store = ShardStore(tmp_path, max_bytes=cap, memo_entries=0)
+        for index in range(60):
+            key = f"{index:032d}"
+            store.put(key, b"x" * (50 + 97 * index % 700))
+            written = (tmp_path / key[:2] / f"{key}.pkl").stat().st_size
+            assert self._disk_bytes(tmp_path) <= cap + written
+        assert store.evictions > 0
+
+    def test_puts_below_the_cap_do_not_rescan(self, tmp_path, monkeypatch):
+        store = ShardStore(tmp_path, max_bytes=1 << 20, memo_entries=0)
+        store.put("0" * 32, b"seed")
+        scans = []
+        original = store._iter_entries
+        monkeypatch.setattr(store, "_iter_entries",
+                            lambda: scans.append(1) or original())
+        for index in range(1, 50):
+            store.put(f"{index:032d}", b"x" * 256)
+        assert scans == []  # 49 small puts stay far below cap / 16
+        assert store._tally == self._disk_bytes(tmp_path)
+
+    def test_overwriting_a_key_does_not_double_count(self, tmp_path):
+        store = ShardStore(tmp_path, max_bytes=1 << 20, memo_entries=0)
+        key = "a" * 32
+        for size in (100, 900, 900, 10, 500):
+            store.put(key, b"x" * size)
+            assert store._tally == self._disk_bytes(tmp_path)
+        assert store.stats().entries == 1
+
+    def test_second_store_on_the_same_root_is_seen_by_the_next_scan(self, tmp_path):
+        payload = b"x" * 256
+        mine = ShardStore(tmp_path, max_bytes=None)
+        mine.put("p" * 32, payload)
+        entry = self._disk_bytes(tmp_path)
+        mine.clear()
+        cap = 16 * entry
+        mine = ShardStore(tmp_path, max_bytes=cap, memo_entries=0)
+        mine.put(f"{0:032d}", payload)  # seeds the tally: one entry
+        other = ShardStore(tmp_path, max_bytes=None, memo_entries=0)
+        for index in range(100, 130):
+            other.put(f"{index:032d}", payload)
+        assert self._disk_bytes(tmp_path) == 31 * entry
+        # The tally has drifted by cap / 16 after one more put: it rescans,
+        # counts the other store's entries, and evicts down to the cap.
+        evicted = mine.put(f"{1:032d}", payload)
+        assert evicted == 16  # 32 entries on disk, room for 16
+        assert self._disk_bytes(tmp_path) <= cap
+        assert mine._tally == self._disk_bytes(tmp_path)
+        assert mine.get(f"{1:032d}") == payload  # never the entry just written
+
     def test_memo_tier_serves_hits_without_disk(self, tmp_path):
         store = ShardStore(tmp_path)
         store.put("f" * 32, "memoised")

@@ -240,6 +240,110 @@ class TestJobRegistry:
                            "state": "paused"})
 
 
+class TestJobJournal:
+    """``jobs.jsonl``: O(1) appends, bounded compaction, torn tails."""
+
+    @staticmethod
+    def _create(registry, index):
+        return registry.create(key=f"k{index:04d}", estimator="e",
+                               params={"seed": index}, config_wire={})
+
+    def test_append_cost_does_not_grow_with_job_count(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        registry = JobRegistry.load(path)
+        written = {}
+        for index in range(1, 201):
+            job = self._create(registry, index)
+            before = path.stat().st_size
+            registry.save(job)
+            written[index] = path.stat().st_size - before
+        assert 0 < written[200] <= 1.1 * written[2]
+        assert len(path.read_text().splitlines()) == 201  # header + 200
+
+    def test_compaction_bounds_the_file(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        registry = JobRegistry.load(path)
+        for index in range(12):
+            job = self._create(registry, index)
+            registry.save(job)
+            for _ in range(3):
+                job.dedup_hits += 1
+                registry.save(job)
+                lines = path.read_text().splitlines()
+                assert len(lines) <= 2 * len(registry) + 1
+            job.mark_running()
+            registry.save(job)
+            job.mark_done({"estimate": index})
+            registry.save(job)
+        reloaded = JobRegistry.load(path)
+        assert [j.to_wire() for j in reloaded.jobs()] == [
+            j.to_wire() for j in registry.jobs()]
+        assert len(path.read_text().splitlines()) == len(registry) + 1
+        registry.save()  # explicit compaction: one record per job
+        assert len(path.read_text().splitlines()) == len(registry) + 1
+
+    def test_last_record_wins_and_dedup_slot_follows_ids(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        registry = JobRegistry.load(path)
+        older = registry.create(key="same", estimator="e", params={},
+                                config_wire={})
+        registry.save(older)
+        newer = registry.create(key="same", estimator="e", params={},
+                                config_wire={})
+        registry.save(newer)
+        older.mark_running()
+        registry.save(older)  # appended after the newer job's record
+        reloaded = JobRegistry.load(path)
+        assert reloaded.get(older.id).state == "running"
+        assert reloaded.find_dedup_target("same").id == newer.id
+        assert reloaded.create(key="x", estimator="e", params={},
+                               config_wire={}).id == "job-00003"
+
+    def test_torn_final_line_is_skipped_with_a_warning(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "jobs.jsonl"
+        registry = JobRegistry.load(path)
+        job = self._create(registry, 1)
+        registry.save(job)
+        job.mark_running()
+        registry.save(job)
+        text = path.read_text()
+        path.write_text(text[:-20])  # a hard kill mid-append
+        reloaded = JobRegistry.load(path)
+        assert reloaded.skipped_lines == 1
+        assert reloaded.get(job.id).state == "queued"  # the earlier record
+        assert "torn" in capsys.readouterr().err
+        # Load compacted the torn tail away, so appends stay decodable.
+        reloaded.get(job.id).mark_failed("boom")
+        reloaded.save(reloaded.get(job.id))
+        again = JobRegistry.load(path)
+        assert again.skipped_lines == 0
+        assert again.get(job.id).state == "failed"
+
+    def test_malformed_middle_line_raises(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        registry = JobRegistry.load(path)
+        for index in range(2):
+            registry.save(self._create(registry, index))
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:10]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":2: malformed"):
+            JobRegistry.load(path)
+
+    @pytest.mark.parametrize("header", [
+        '{"kind": "repro/service-jobs", "format": 1}',
+        '{"kind": "something-else", "format": 2}',
+        '{"id": "job-00001"}',
+        "not json",
+    ])
+    def test_wrong_or_missing_header_raises(self, tmp_path, header):
+        path = tmp_path / "jobs.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError):
+            JobRegistry.load(path)
+
+
 # ----------------------------------------------------------------------
 # The service core (in-process, no HTTP)
 # ----------------------------------------------------------------------
@@ -337,6 +441,8 @@ class TestEstimationService:
         with pytest.raises(ServiceError) as excinfo:
             service.submit(overflow)
         assert excinfo.value.status == 429
+        assert service.queue.max_queued == 1
+        assert "(1 queued)" in excinfo.value.message
         metrics = service.metrics.snapshot()
         assert metrics["service.jobs_rejected"]["value"] == 1
         service.shutdown(drain_seconds=0.1)
@@ -354,8 +460,8 @@ class TestEstimationService:
         response, _ = first.submit(dict(SMALL))
         job_id = response["job"]["id"]
         first.shutdown(drain_seconds=0.1)
-        snapshot = json.loads((tmp_path / "jobs.json").read_text())
-        assert [(j["id"], j["state"]) for j in snapshot["jobs"]] == [
+        persisted = JobRegistry.load(tmp_path / "jobs.jsonl")
+        assert [(j.id, j.state) for j in persisted.jobs()] == [
             (job_id, "queued")]
 
         second = EstimationService(tmp_path, job_workers=1)
@@ -366,6 +472,47 @@ class TestEstimationService:
         result = second.result(job_id)
         assert result["result"]["trials"] == SMALL["params"]["trials"]
         second.shutdown(drain_seconds=1.0)
+
+    def test_legacy_snapshot_is_migrated_and_resumed(self, tmp_path):
+        # A state directory from before the journal: one jobs.json
+        # snapshot (format 1) holding a queued job.
+        first = EstimationService(tmp_path, start=False)
+        response, _ = first.submit(dict(SMALL))
+        job_id = response["job"]["id"]
+        first.shutdown(drain_seconds=0.1)
+        job = first.registry.get(job_id)
+        (tmp_path / "jobs.jsonl").unlink()
+        (tmp_path / "jobs.json").write_text(json.dumps(
+            {"kind": "repro/service-jobs", "format": 1, "seq": 1,
+             "jobs": [job.to_wire()]}, sort_keys=True, indent=1))
+
+        second = EstimationService(tmp_path, job_workers=1)
+        assert not (tmp_path / "jobs.json").exists()
+        assert (tmp_path / "jobs.jsonl").exists()
+        assert second.metrics.snapshot()["service.jobs_resumed"]["value"] == 1
+        wait_for(lambda: second.registry.get(job_id).finished)
+        assert second.registry.get(job_id).state == "done"
+        fresh, _ = second.submit({"estimator": "non_manifestation",
+                                  "params": {"model": "SC", "trials": 50}})
+        assert fresh["job"]["id"] != job_id
+        second.shutdown(drain_seconds=1.0)
+        assert JobRegistry.load(tmp_path / "jobs.jsonl").get(
+            job_id).state == "done"
+
+    def test_latency_histograms_record_each_job(self, tmp_path):
+        service = EstimationService(tmp_path, job_workers=1)
+        response, _ = service.submit(dict(SMALL))
+        job_id = response["job"]["id"]
+        wait_for(lambda: service.registry.get(job_id).finished)
+        job = service.registry.get(job_id)
+        metrics = service.metrics_snapshot()["metrics"]
+        wait = metrics["service.queue_wait_seconds"]
+        ran = metrics["service.job_seconds"]
+        assert wait["type"] == ran["type"] == "histogram"
+        assert wait["count"] == ran["count"] == 1
+        assert wait["sum"] == pytest.approx(job.started_at - job.created_at)
+        assert ran["sum"] == pytest.approx(job.finished_at - job.started_at)
+        service.shutdown(drain_seconds=1.0)
 
     def test_submissions_refused_while_shutting_down(self, tmp_path):
         service = EstimationService(tmp_path, start=False)
